@@ -2,8 +2,7 @@
 
 Every lock, reentrant lock, and condition variable in the concurrent core
 (:mod:`repro.core.mountpool`, :mod:`repro.core.cache`, :mod:`repro.db.buffer`,
-:mod:`repro.core.governor`, :mod:`repro.serve.scheduler`,
-:mod:`repro.serve.service`) is created through this module instead of
+:mod:`repro.core.governor`, :mod:`repro.serve.service`) is created through this module instead of
 calling ``threading.Lock()`` directly. Normally the factories return the
 plain :mod:`threading` primitives — zero wrappers, zero overhead. With
 ``REPRO_LOCK_TRACE=1`` (or :func:`set_tracing`) they return the traced

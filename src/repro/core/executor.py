@@ -64,7 +64,7 @@ from .mounting import (
     MountService,
     interval_from_predicate,
 )
-from .mountpool import MountPool, MountPoolTimings
+from .mountpool import MountPool, MountPoolTimings, MountScheduler
 from .partial import PartialMerger, is_decomposable
 from .rules import RewriteReport, apply_ali_rewrite
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
@@ -186,7 +186,6 @@ class TwoStageExecutor:
         derived=None,  # Optional[DerivedMetadataStore]
         estimate: bool = True,
         mount_workers: int = 1,
-        mount_inflight: Optional[int] = None,
         on_mount_error: str = FAIL_FAST,
         verify_plans: Optional[bool] = None,
         selective_mounts: bool = True,
@@ -241,7 +240,6 @@ class TwoStageExecutor:
         self.derived = derived
         self.estimate = estimate
         self.mount_workers = mount_workers
-        self.mount_inflight = mount_inflight
         # None inherits the database's setting (itself REPRO_VERIFY_PLANS-
         # defaulted), so one env var flips the whole pipeline.
         self.verify_plans = (
@@ -254,16 +252,13 @@ class TwoStageExecutor:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.mounts.breaker = self.breaker
         self._governor: Optional[QueryGovernor] = None
-        # Service-layer seams. `pool_factory` replaces the per-query
-        # MountPool with anything speaking its interface (prefetch / take /
-        # close / timings / cancel_outstanding) — the query service plugs a
-        # cross-query scheduler client in here, which is how single-flight
-        # generalizes beyond one query without the executor knowing.
+        # Service-layer seams. A shared `scheduler` makes each execution's
+        # mount pool a client of it instead of a private one-client
+        # scheduler — the query service plugs its cross-query scheduler in
+        # here, which is how single-flight generalizes beyond one query.
         # `charge_hook(bytes, records)` is handed to each execution's
         # governor as its on_charge callback (per-tenant accounting).
-        self.pool_factory: Optional[
-            Callable[[Optional[CancellationToken]], MountPool]
-        ] = None
+        self.scheduler: Optional[MountScheduler] = None
         self.charge_hook: Optional[Callable[[int, int], None]] = None
         # The last executed query's fused actual-data time interval (None
         # when unbounded or metadata-only) — the workload predictor's input.
@@ -342,15 +337,14 @@ class TwoStageExecutor:
 
         :class:`~repro.core.multistage.MultiStageExecutor` reuses this so
         every stage of a multi-stage run shares one pool configuration.
-        When a ``pool_factory`` is installed (the query service does this),
-        it supplies the pool instead — same interface, shared-work backend.
+        When a shared ``scheduler`` is installed (the query service does
+        this), the pool is its client, charging this query's governor.
         """
-        if self.pool_factory is not None:
-            return self.pool_factory(token)
+        if self.scheduler is not None:
+            return self.scheduler.client(token=token, governor=self._governor)
         return MountPool(
             self.mounts._extract,
             max_workers=self.mount_workers,
-            max_inflight=self.mount_inflight,
             fail_fast=self.mounts.on_error != SKIP_AND_REPORT,
             token=token,
         )
@@ -522,8 +516,8 @@ class TwoStageExecutor:
         timings.runtime_opt_seconds = time.perf_counter() - opt_started
 
         # Stage 2: mounts happen here, inside the plan. Both strategies
-        # dispatch their mount branches through a MountPool — serial when
-        # mount_workers == 1, fanned out to a thread pool otherwise.
+        # dispatch their mount branches through a MountPool — inline when
+        # mount_workers == 1, fanned out to its worker threads otherwise.
         pool = self.make_mount_pool(token=governor.token)
         self.mounts.pool = pool
         termination = None

@@ -1,807 +1,41 @@
 """Cross-query shared-work mount scheduling — LifeRaft's move, generalized.
 
-The per-query :class:`~repro.core.mountpool.MountPool` single-flights one
-file *within* one query. The service layer needs the same guarantee *across*
+The service layer needs rule (1)'s per-file single-flight *across*
 queries: many concurrent sessions pause at the stage-1/stage-2 breakpoint
 with overlapping files of interest, and each file should be extracted once
-and its :class:`~repro.core.mounting.ExtractResult` fed to **every** waiting
-query. That is LifeRaft's data-driven batching: group queries by the data
-they wait on, serve the group with one pass.
+and its :class:`~repro.core.mounting.ExtractResult` fed to **every**
+waiting query. That is LifeRaft's data-driven batching: group queries by
+the data they wait on, serve the group with one pass.
 
-Two classes implement it:
-
-* :class:`MountScheduler` — the shared, service-lifetime object. It keeps one
-  ``(table, uri)`` → :class:`_FileTask` table; each task accumulates waiters
-  (one per paused query touching the file) and a hull-merged
-  :class:`~repro.ingest.formats.MountRequest` (reusing the pool's
-  :func:`~repro.core.mountpool.merge_requests`, so one extraction covers
-  every waiter's interval). Worker threads repeatedly pick the
-  highest-priority pending task, extract it, and publish the result to all
-  waiters at once.
-* :class:`SharedPoolClient` — the per-query facade. It speaks the MountPool
-  interface (``prefetch`` / ``take`` / ``close`` / ``timings`` /
-  ``cancel_outstanding``), so a :class:`~repro.core.executor.TwoStageExecutor`
-  with a ``pool_factory`` drives the shared scheduler without changing a
-  line of its stage-2 logic.
-
-Scheduling policy
------------------
-:class:`SchedulerPolicy` is the LifeRaft-style throughput ↔ fairness knob.
-A pending task's priority is::
-
-    priority = throughput_bias * waiters + age_seconds / aging_seconds
-
-``throughput_bias`` near 1.0 favours *popular* files — one extraction
-retires many queries, maximizing aggregate throughput but starving
-low-overlap queries while popular work keeps arriving. Bias near 0.0
-degenerates to FIFO by age. The additive age term is the starvation-aging
-guarantee: it grows without bound regardless of the bias, so every task's
-priority eventually exceeds any fixed popularity — a lone low-overlap query
-waits at most ``aging_seconds × (bias × max_waiters)`` behind the crowd,
-never forever.
-
-Task states
------------
-``pending → running → done | failed``. A task is *pending* from first
-registration until a worker (or a stealing consumer) claims it, *running*
-during extraction, then *done* (result published) or *failed* (exception
-published). Completed tasks are retained only until their last registered
-waiter consumes them; failed tasks are likewise drained and dropped, so the
-next query registering the same file gets a fresh attempt (mirroring the
-per-query quarantine's "fresh chance next query" semantics). Every waiter
-of a failed task receives the same typed exception and applies its own
-session policy — skip/fail, retry ladders, and per-tenant circuit breakers
-all stay query-side.
-
-Work conservation mirrors the pool: a consumer whose task is still pending
-claims and extracts it inline instead of idling, so a scheduler with slow
-(or zero) workers degrades to serial execution, never to a stall.
+It needs no engine of its own. A standalone query's
+:class:`~repro.core.mountpool.MountPool` is already a one-client
+:class:`~repro.core.mountpool.MountScheduler`; the query service builds
+one shared scheduler (unbounded in flight, a non-zero
+``batch_window_seconds`` so co-arriving queries hull-merge, priority by
+:class:`SchedulerPolicy`'s throughput ↔ fairness knob) and hands each
+query's executor a client from :meth:`MountScheduler.client`. That client
+is the same :class:`~repro.core.mountpool.MountPool` class, exported here
+under its service-side name :data:`SharedPoolClient`; it charges its
+query's governor at consume time. See :mod:`repro.core.mountpool` for the
+policy, the task states and the guarantees.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-from .. import _sync
-from ..core.governor import CancellationToken
-from ..core.mounting import ExtractResult
 from ..core.mountpool import (
-    ExtractFn,
     MountKey,
-    MountPoolTimings,
-    MountTaskTiming,
-    merge_requests,
+    MountPool,
+    MountScheduler,
+    SchedulerPolicy,
+    SchedulerStats,
 )
-from ..ingest.formats import MountRequest
-from ..remote.uris import endpoint_of
 
-# Task lifecycle states (see module docstring).
-TASK_PENDING = "pending"
-TASK_RUNNING = "running"
-TASK_DONE = "done"
-TASK_FAILED = "failed"
-
-_WAIT_POLL_SECONDS = 0.05  # waiter wake-up interval for cancellation checks
-
-
-@dataclass(frozen=True)
-class SchedulerPolicy:
-    """The throughput ↔ fairness knob, with starvation aging.
-
-    ``throughput_bias`` ∈ [0, 1] weights a task's waiter count; the age
-    term ``age / aging_seconds`` is always added, so aging is unconditional
-    (the starvation guarantee) and ``aging_seconds`` sets how long a wait
-    counts as much as one extra waiter. ``starvation_threshold_seconds``
-    only classifies grants for the ops counters: a grant whose waiter
-    waited longer counts as *starved* in :class:`SchedulerStats`.
-
-    ``batch_window_seconds`` is LifeRaft's batching delay: a pending task
-    is not eligible to run (by a worker *or* a stealing consumer) until it
-    has aged past the window, so queries arriving within a few
-    milliseconds of each other hull-merge into one extraction instead of
-    the first arriver racing off with its own narrow interval. It buys
-    aggregate bytes with per-query latency — every cold file costs the
-    window — and is measured against the real clock (an injected test
-    clock drives priorities, not the batching wait), so tests using a fake
-    clock should set it to 0.
-    """
-
-    throughput_bias: float = 0.7
-    aging_seconds: float = 0.25
-    starvation_threshold_seconds: float = 2.0
-    batch_window_seconds: float = 0.02
-    # Per-endpoint concurrency cap for *worker* picks: at most this many
-    # remote tasks of one endpoint run at once, so a slow or flapping
-    # endpoint cannot absorb the whole worker fleet. None disables the cap;
-    # local files (no endpoint) are never capped, and the consumer steal
-    # path is exempt — work conservation beats politeness when a query is
-    # actually waiting.
-    max_inflight_per_endpoint: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.throughput_bias <= 1.0:
-            raise ValueError(
-                f"throughput_bias must be in [0, 1], got {self.throughput_bias!r}"
-            )
-        if self.aging_seconds <= 0:
-            raise ValueError(
-                f"aging_seconds must be positive, got {self.aging_seconds!r}"
-            )
-        if self.starvation_threshold_seconds <= 0:
-            raise ValueError(
-                "starvation_threshold_seconds must be positive, "
-                f"got {self.starvation_threshold_seconds!r}"
-            )
-        if self.batch_window_seconds < 0:
-            raise ValueError(
-                "batch_window_seconds must be >= 0, "
-                f"got {self.batch_window_seconds!r}"
-            )
-        if (
-            self.max_inflight_per_endpoint is not None
-            and self.max_inflight_per_endpoint < 1
-        ):
-            raise ValueError(
-                "max_inflight_per_endpoint must be >= 1, "
-                f"got {self.max_inflight_per_endpoint!r}"
-            )
-
-
-@dataclass
-class SchedulerStats:
-    """Shared-work accounting for one scheduler lifetime.
-
-    ``grants`` counts results delivered to waiting queries;
-    ``shared_grants`` the grants beyond the first per extraction — the
-    work-sharing win. ``bytes_shared`` is the byte volume those re-grants
-    would have re-extracted in independent sessions. ``starved_grants``
-    and ``max_wait_seconds`` are the fairness side of the ops story: a
-    rising starved count under a high ``throughput_bias`` is the signal to
-    turn the knob down.
-    """
-
-    tasks_created: int = 0
-    tasks_extracted: int = 0
-    tasks_failed: int = 0
-    grants: int = 0
-    shared_grants: int = 0
-    inline_steals: int = 0
-    unscheduled_mounts: int = 0  # client fallbacks that bypassed the table
-    withdrawn: int = 0  # interests dropped by cancelled/closed queries
-    starved_grants: int = 0
-    bytes_extracted: int = 0
-    bytes_shared: int = 0
-    max_wait_seconds: float = 0.0
-    hints_registered: int = 0  # speculative prefetch tasks accepted
-    hint_extractions: int = 0  # hint tasks actually extracted by a worker
-    endpoint_deferrals: int = 0  # picks skipped by the per-endpoint cap
-
-
-@dataclass
-class _FileTask:
-    """One file's shared extraction: waiters, merged request, outcome."""
-
-    key: MountKey
-    request: Optional[MountRequest]
-    seq: int  # arrival order, the deterministic tie-break
-    enqueued_at: float  # injected-clock time, drives priority aging
-    born_at: float = 0.0  # real (monotonic) time, drives the batch window
-    state: str = TASK_PENDING
-    waiters: dict[int, float] = field(default_factory=dict)  # client → t
-    # Speculative prefetch task: no waiters of its own, runs only when no
-    # real task pends, survives waiter-less reaping while pending. A real
-    # query registering on the key joins it like any pending task.
-    hint: bool = False
-    consumers: int = 0
-    result: Optional[ExtractResult] = None
-    error: Optional[BaseException] = None
-    extract_seconds: float = 0.0
-    event: threading.Event = field(default_factory=threading.Event)
-
-
-@_sync.guarded
-class MountScheduler:
-    """The shared files-of-interest scheduler behind a query service.
-
-    ``extract`` is the service-owned extraction function (typically a
-    dedicated :class:`~repro.core.mounting.MountService`'s ``_extract`` —
-    *without* a per-query governor: queries are charged at consume time by
-    their own :class:`SharedPoolClient`, so every query pays for the bytes
-    it uses exactly as it would standalone, even when the extraction ran
-    once for eight of them). ``clock`` is injectable so the aging math is
-    testable without sleeping.
-    """
-
-    def __init__(
-        self,
-        extract: ExtractFn,
-        policy: Optional[SchedulerPolicy] = None,
-        workers: int = 2,
-        clock: Callable[[], float] = time.monotonic,
-        on_hint_result: Optional[
-            Callable[[MountKey, Optional[MountRequest], ExtractResult], None]
-        ] = None,
-    ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self._extract = extract
-        self.policy = policy or SchedulerPolicy()
-        self.workers = workers
-        # Called (outside the lock) with each completed hint task's key,
-        # request and result — the service stores it into the shared cache.
-        # unguarded-ok: set at construction, read-only afterwards.
-        self._on_hint_result = on_hint_result
-        self._clock = clock
-        self._lock = _sync.create_lock("MountScheduler._lock")
-        # The wakeup condition *shares* _lock: waiters and mutators
-        # serialize on one mutex, so `with self._wakeup:` is `with
-        # self._lock:` plus the ability to park.
-        self._wakeup = _sync.create_condition(
-            "MountScheduler._wakeup", self._lock
-        )
-        self._tasks: dict[MountKey, _FileTask] = {}  # guarded-by: _lock
-        self._seq = itertools.count()  # guarded-by: _lock
-        # unguarded-ok: itertools.count.__next__ is atomic in CPython; the
-        # id handed out only needs uniqueness, not ordering.
-        self._client_ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []  # guarded-by: _lock
-        self._stop = False  # guarded-by: _lock
-        self.stats = SchedulerStats()  # guarded-by: _lock
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn the worker threads (idempotent). ``workers=0`` is legal:
-        consumers then run every extraction through the steal path, which
-        is the deterministic single-threaded mode the tests use.
-
-        The thread list is created *and registered* under the lock before
-        anything starts: two concurrent ``start()`` calls used to both see
-        an empty ``_threads`` (the check and the appends were in separate
-        lock regions) and double-spawn the worker fleet.
-        """
-        with self._lock:
-            if self._threads or self.workers == 0:
-                return
-            self._stop = False
-            spawned = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    name=f"serve-mount-{index}",
-                    daemon=True,
-                )
-                for index in range(self.workers)
-            ]
-            self._threads.extend(spawned)
-        for thread in spawned:
-            thread.start()
-
-    def close(self) -> None:
-        """Stop the workers. Pending tasks stay pending; clients still
-        blocked on them complete through the steal path, so closing the
-        scheduler can slow queries down but never wedge them."""
-        with self._wakeup:
-            self._stop = True
-            self._wakeup.notify_all()
-            # Snapshot + clear under the lock; joining happens outside it
-            # (a worker may need the lock to observe _stop and exit).
-            stopping = list(self._threads)
-            self._threads.clear()
-        for thread in stopping:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "MountScheduler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def client(
-        self,
-        token: Optional[CancellationToken] = None,
-        governor=None,  # Optional[QueryGovernor]; typed loosely, import cycle
-    ) -> "SharedPoolClient":
-        """A fresh per-query facade over this scheduler."""
-        return SharedPoolClient(
-            self, next(self._client_ids), token=token, governor=governor
-        )
-
-    # -- registration / consumption (client-facing) --------------------------
-
-    def register(
-        self, client_id: int, tasks: Sequence
-    ) -> dict[MountKey, _FileTask]:
-        """Register one query's mount branches; returns key → task.
-
-        Joins an existing pending/running/done task when one is live for
-        the key (widening a *pending* task's request by hull-merge);
-        creates a fresh task otherwise — including when the live task
-        already *failed*, so a new query never inherits a stale failure.
-        """
-        joined: dict[MountKey, _FileTask] = {}
-        now = self._clock()
-        with self._wakeup:
-            for task_spec in tasks:
-                table_name, uri = task_spec[0], task_spec[1]
-                request = task_spec[2] if len(task_spec) > 2 else None
-                key: MountKey = (table_name, uri)
-                if key in joined:
-                    continue  # one waiter entry per (query, key)
-                task = self._tasks.get(key)
-                if task is None or task.state == TASK_FAILED:
-                    task = _FileTask(
-                        key=key,
-                        request=request,
-                        seq=next(self._seq),
-                        enqueued_at=now,
-                        born_at=time.monotonic(),
-                    )
-                    self._tasks[key] = task
-                    self.stats.tasks_created += 1
-                elif task.state == TASK_PENDING:
-                    task.request = merge_requests(task.request, request)
-                # running/done: the request cannot widen any more; the
-                # client's coverage check falls back inline if too narrow.
-                task.waiters[client_id] = now
-                joined[key] = task
-            self._wakeup.notify_all()
-        return joined
-
-    def hint(self, tasks: Sequence) -> int:
-        """Register speculative prefetch tasks; returns how many were accepted.
-
-        Hints are the predictive-prefetch entry point: waiter-less tasks a
-        worker extracts only when no *real* (waiter-having) task is pending,
-        so speculation can never delay a query. Keys with a live task are
-        skipped (the real task already covers them); a completed hint's
-        result is handed to ``on_hint_result`` for cache storage. Task specs
-        are the same ``(table_name, uri, request?)`` tuples ``register``
-        takes.
-        """
-        accepted = 0
-        now = self._clock()
-        with self._wakeup:
-            if self._stop:
-                return 0
-            for task_spec in tasks:
-                table_name, uri = task_spec[0], task_spec[1]
-                request = task_spec[2] if len(task_spec) > 2 else None
-                key: MountKey = (table_name, uri)
-                if key in self._tasks:
-                    continue
-                self._tasks[key] = _FileTask(
-                    key=key,
-                    request=request,
-                    seq=next(self._seq),
-                    enqueued_at=now,
-                    born_at=time.monotonic(),
-                    hint=True,
-                )
-                self.stats.tasks_created += 1
-                self.stats.hints_registered += 1
-                accepted += 1
-            if accepted:
-                self._wakeup.notify_all()
-        return accepted
-
-    def withdraw(self, client_id: int, tasks: Sequence[_FileTask]) -> None:
-        """Drop a client's remaining interest (query done or cancelled).
-
-        A pending task nobody waits for any more is removed outright — no
-        worker will waste an extraction on it; a completed one is freed as
-        soon as its last interested waiter is gone.
-        """
-        with self._lock:
-            for task in tasks:
-                if task.waiters.pop(client_id, None) is not None:
-                    self.stats.withdrawn += 1
-                self._reap_locked(task)
-
-    def take(
-        self,
-        client_id: int,
-        task: _FileTask,
-        token: Optional[CancellationToken] = None,
-    ) -> tuple[ExtractResult, float]:
-        """Block until ``task`` completes; return (result, extract_seconds).
-
-        Work conservation: a still-pending task is claimed and extracted
-        inline on the consuming thread. The wait is cancellation-aware —
-        a fired token withdraws this waiter and raises its typed
-        interruption, leaving the task to its other waiters.
-        """
-        claimed = False
-        while True:
-            with self._lock:
-                if task.state != TASK_PENDING:
-                    break
-                window_left = (
-                    task.born_at
-                    + self.policy.batch_window_seconds
-                    - time.monotonic()
-                )
-                if window_left <= 0:
-                    task.state = TASK_RUNNING
-                    claimed = True
-                    self.stats.inline_steals += 1
-                    break
-            # Inside the batch window: give co-arriving queries their few
-            # milliseconds to hull-merge before anyone extracts.
-            if token is not None and token.fired:
-                self.withdraw(client_id, [task])
-                interruption = token.interruption()
-                assert interruption is not None
-                raise interruption
-            task.event.wait(min(_WAIT_POLL_SECONDS, max(window_left, 0.001)))
-        if claimed:
-            self._run_task(task)
-        while not task.event.wait(_WAIT_POLL_SECONDS):
-            if token is not None and token.fired:
-                self.withdraw(client_id, [task])
-                interruption = token.interruption()
-                assert interruption is not None
-                raise interruption
-        return self._grant(client_id, task)
-
-    def extract_now(
-        self, uri: str, table_name: str, request: Optional[MountRequest]
-    ) -> tuple[ExtractResult, float]:
-        """One unscheduled extraction through the shared extract function.
-
-        The client's fallback for keys it never prefetched (cache-scan
-        misses that fell back to mounting) and for scheduled results whose
-        coverage turned out too narrow. Bypasses the task table — callers
-        need the result *now*, on their own thread.
-        """
-        started = time.perf_counter()
-        result = self._extract(uri, table_name, request)
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self.stats.unscheduled_mounts += 1
-            self.stats.tasks_extracted += 1
-            self.stats.bytes_extracted += result.bytes_read
-        return result, elapsed
-
-    # -- scheduling core -----------------------------------------------------
-
-    def _priority(self, task: _FileTask, now: float) -> float:
-        """LifeRaft knob: popularity weighted by the bias, plus raw age."""
-        age = max(0.0, now - task.enqueued_at)
-        return (
-            self.policy.throughput_bias * len(task.waiters)
-            + age / self.policy.aging_seconds
-        )
-
-    def peek_next(self) -> Optional[MountKey]:
-        """The key the scheduler would run next (None when nothing pends).
-
-        Exposed for tests and operators: deterministic given the injected
-        clock — highest priority wins, earliest arrival breaks ties.
-        """
-        with self._lock:
-            task = self._pick_locked()
-            return task.key if task is not None else None
-
-    def _pick_locked(self) -> Optional[_FileTask]:
-        now = self._clock()
-        window = self.policy.batch_window_seconds
-        mature_before = time.monotonic() - window
-        cap = self.policy.max_inflight_per_endpoint
-        running_per_endpoint: dict[str, int] = {}
-        if cap is not None:
-            for task in self._tasks.values():
-                if task.state == TASK_RUNNING:
-                    endpoint = endpoint_of(task.key[1])
-                    if endpoint is not None:
-                        running_per_endpoint[endpoint] = (
-                            running_per_endpoint.get(endpoint, 0) + 1
-                        )
-        best: Optional[_FileTask] = None
-        best_rank: tuple[float, float] = (0.0, 0.0)
-        best_hint: Optional[_FileTask] = None
-        for task in self._tasks.values():
-            if task.state != TASK_PENDING:
-                continue
-            if cap is not None:
-                endpoint = endpoint_of(task.key[1])
-                if (
-                    endpoint is not None
-                    and running_per_endpoint.get(endpoint, 0) >= cap
-                ):
-                    # The endpoint already saturates its worker allowance;
-                    # leave the task pending so the fleet serves other
-                    # sources. Consumers stealing their own task bypass
-                    # this pick entirely.
-                    self.stats.endpoint_deferrals += 1
-                    continue
-            if not task.waiters:
-                # Waiter-less pending tasks are speculative hints (an
-                # abandoned real task would have been reaped): lowest
-                # priority class, oldest first, no batch window — nobody is
-                # waiting, so there is nothing to hull-merge with.
-                if task.hint and (
-                    best_hint is None or task.seq < best_hint.seq
-                ):
-                    best_hint = task
-                continue
-            if window > 0 and task.born_at > mature_before:
-                continue  # still inside its batch window
-            rank = (self._priority(task, now), -task.seq)
-            if best is None or rank > best_rank:
-                best, best_rank = task, rank
-        return best if best is not None else best_hint
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._wakeup:
-                task = None
-                while not self._stop:
-                    task = self._pick_locked()
-                    if task is not None:
-                        break
-                    self._wakeup.wait(0.1)
-                if self._stop:
-                    return
-                assert task is not None
-                task.state = TASK_RUNNING
-            self._run_task(task)
-
-    def _run_task(self, task: _FileTask) -> None:
-        """Extract one claimed task and publish the outcome to all waiters."""
-        table_name, uri = task.key
-        started = time.perf_counter()
-        try:
-            result = self._extract(uri, table_name, task.request)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-            if getattr(exc, "mount_uri", None) is None:
-                try:
-                    exc.mount_uri = uri  # type: ignore[attr-defined]
-                except AttributeError:  # pragma: no cover - slotted exception
-                    pass
-            with self._wakeup:
-                task.error = exc
-                task.state = TASK_FAILED
-                task.extract_seconds = time.perf_counter() - started
-                self.stats.tasks_failed += 1
-                self._reap_locked(task)
-                self._wakeup.notify_all()
-            task.event.set()
-            return
-        with self._wakeup:
-            task.result = result
-            task.state = TASK_DONE
-            task.extract_seconds = time.perf_counter() - started
-            self.stats.tasks_extracted += 1
-            self.stats.bytes_extracted += result.bytes_read
-            if task.hint:
-                self.stats.hint_extractions += 1
-            self._reap_locked(task)
-            self._wakeup.notify_all()
-        task.event.set()
-        if task.hint and self._on_hint_result is not None:
-            # Outside the lock: the callback stores into the shared cache
-            # (which locks itself). A failing store only loses the
-            # speculative benefit — it must never take down a worker.
-            try:
-                self._on_hint_result(task.key, task.request, result)
-            except Exception:  # noqa: BLE001 - speculative, best-effort
-                pass
-
-    def _grant(
-        self, client_id: int, task: _FileTask
-    ) -> tuple[ExtractResult, float]:
-        with self._lock:
-            registered_at = task.waiters.pop(client_id, None)
-            waited = (
-                self._clock() - registered_at
-                if registered_at is not None
-                else 0.0
-            )
-            self.stats.grants += 1
-            if task.consumers >= 1:
-                self.stats.shared_grants += 1
-                if task.result is not None:
-                    self.stats.bytes_shared += task.result.bytes_read
-            task.consumers += 1
-            if waited > self.policy.starvation_threshold_seconds:
-                self.stats.starved_grants += 1
-            if waited > self.stats.max_wait_seconds:
-                self.stats.max_wait_seconds = waited
-            self._reap_locked(task)
-        if task.error is not None:
-            raise task.error
-        assert task.result is not None
-        return task.result, task.extract_seconds
-
-    def _reap_locked(self, task: _FileTask) -> None:
-        """Drop a finished (or abandoned-pending) task once nobody waits."""
-        if task.waiters:
-            return
-        if task.hint and task.state == TASK_PENDING:
-            return  # hints are waiter-less by design; keep until run
-        if task.state in (TASK_DONE, TASK_FAILED, TASK_PENDING):
-            if self._tasks.get(task.key) is task:
-                del self._tasks[task.key]
-
-    # -- introspection -------------------------------------------------------
-
-    def pending_tasks(self) -> int:
-        with self._lock:
-            return sum(
-                1 for t in self._tasks.values() if t.state == TASK_PENDING
-            )
-
-
-@_sync.guarded
-class SharedPoolClient:
-    """One query's MountPool-compatible view of the shared scheduler.
-
-    Created per execution by the query service's ``pool_factory``; the
-    executor and :class:`~repro.core.mounting.MountService` drive it exactly
-    like a :class:`~repro.core.mountpool.MountPool`:
-
-    * :meth:`prefetch` registers the query's mount branches with the
-      scheduler (this is the query "entering the scheduler" at the
-      stage-1/stage-2 breakpoint — registration is the pause; the plan's
-      first :meth:`take` is the resume).
-    * :meth:`take` blocks on the shared task, charges this query's governor
-      once per distinct file consumed (so per-query and per-tenant budgets
-      see the same bytes a standalone run would), and retains the batch for
-      duplicate takes of one key (self-joins), mirroring pool single-flight.
-    * :meth:`close` withdraws whatever the plan never consumed.
-
-    ``timings`` reports the *consumed* extraction costs — what this query's
-    mounts cost wherever they ran, which is what a per-query speedup or
-    billing report wants; the scheduler's own stats carry the shared-work
-    (bytes-saved) view.
-    """
-
-    def __init__(
-        self,
-        scheduler: MountScheduler,
-        client_id: int,
-        token: Optional[CancellationToken] = None,
-        governor=None,  # Optional[QueryGovernor]
-    ) -> None:
-        self._scheduler = scheduler
-        self._client_id = client_id
-        self._token = token
-        self._governor = governor
-        self.timings = MountPoolTimings()  # guarded-by: _lock
-        self._tasks: dict[MountKey, _FileTask] = {}  # guarded-by: _lock
-        self._pending_takes: dict[MountKey, int] = {}  # guarded-by: _lock
-        self._held: dict[MountKey, ExtractResult] = {}  # guarded-by: _lock
-        self._charged: set[MountKey] = set()  # guarded-by: _lock
-        self._lock = _sync.create_lock("SharedPoolClient._lock")
-        if token is not None:
-            token.on_cancel(self.cancel_outstanding)
-
-    # -- MountPool interface -------------------------------------------------
-
-    def prefetch(self, tasks: Sequence) -> None:
-        """Register the plan's mount branches with the shared scheduler."""
-        fresh = []
-        with self._lock:
-            for task in tasks:
-                key: MountKey = (task[0], task[1])
-                self._pending_takes[key] = self._pending_takes.get(key, 0) + 1
-                if key not in self._tasks:
-                    fresh.append(task)
-        if fresh:
-            joined = self._scheduler.register(self._client_id, fresh)
-            with self._lock:
-                self._tasks.update(joined)
-
-    def take(
-        self,
-        uri: str,
-        table_name: str,
-        request: Optional[MountRequest] = None,
-    ) -> ExtractResult:
-        """This branch's extraction result, shared or inline."""
-        key: MountKey = (table_name, uri)
-        with self._lock:
-            held = self._held.get(key)
-            task = self._tasks.get(key)
-        if held is not None:
-            return self._consume(key, held)
-        if task is None:
-            # Never prefetched (a cache-scan miss falling back to mount):
-            # extract inline through the shared service function.
-            result, elapsed = self._scheduler.extract_now(
-                uri, table_name, request
-            )
-            self._account(key, result, elapsed)
-            return self._consume(key, result)
-        result, extract_seconds = self._scheduler.take(
-            self._client_id, task, token=self._token
-        )
-        self._account(key, result, extract_seconds)
-        return self._consume(key, result)
-
-    def release(self, table_name: str, uri: str) -> bool:
-        """Renounce one expected take of a key (Top-N early termination).
-
-        Mirrors :meth:`~repro.core.mountpool.MountPool.release`: the plan
-        proved this branch cannot contribute, so one pending take is
-        dropped; at zero this query's interest is withdrawn from the shared
-        task (a pending task nobody else waits on is reaped before any
-        worker spends an extraction on it). Returns True when this query
-        will not pay for the extraction; the scheduler may still run it for
-        other queries — that is shared-work, not waste.
-        """
-        key: MountKey = (table_name, uri)
-        with self._lock:
-            if key not in self._pending_takes:
-                return False
-            remaining = self._pending_takes[key] - 1
-            if remaining > 0:
-                self._pending_takes[key] = remaining
-                return False
-            self._pending_takes.pop(key, None)
-            held = self._held.pop(key, None) is not None
-            task = self._tasks.pop(key, None)
-        if held or task is None:
-            return False  # already extracted and consumed for this query
-        self._scheduler.withdraw(self._client_id, [task])
-        return True
-
-    def close(self) -> None:
-        """Withdraw un-consumed interest; the scheduler drops orphan tasks."""
-        self.cancel_outstanding()
-
-    def cancel_outstanding(self) -> None:
-        with self._lock:
-            leftovers = [
-                task
-                for key, task in self._tasks.items()
-                if self._pending_takes.get(key, 0) > 0
-                and key not in self._held
-            ]
-        if leftovers:
-            self._scheduler.withdraw(self._client_id, leftovers)
-
-    # -- internals -----------------------------------------------------------
-
-    def _account(
-        self, key: MountKey, result: ExtractResult, extract_seconds: float
-    ) -> None:
-        """Per-query cost attribution + budget charge, once per file."""
-        with self._lock:
-            first = key not in self._charged
-            if first:
-                self._charged.add(key)
-                self.timings.tasks.append(
-                    MountTaskTiming(
-                        uri=key[1],
-                        table_name=key[0],
-                        worker=0,
-                        extract_seconds=extract_seconds,
-                        io_seconds=result.io_seconds,
-                    )
-                )
-        if first and self._governor is not None:
-            # Same ledger a standalone run would build: one charge per
-            # distinct file this query consumed, for the bytes the shared
-            # extraction actually read. Raise-mode exhaustion propagates
-            # from here exactly like a pool-worker charge would.
-            self._governor.charge_mount(
-                result.bytes_read, result.records_decoded
-            )
-
-    def _consume(self, key: MountKey, result: ExtractResult) -> ExtractResult:
-        """Single-flight bookkeeping for duplicate takes of one key."""
-        with self._lock:
-            remaining = self._pending_takes.get(key, 1) - 1
-            if remaining > 0:
-                self._pending_takes[key] = remaining
-                self._held[key] = result
-            else:
-                self._pending_takes.pop(key, None)
-                self._held.pop(key, None)
-        return result
+SharedPoolClient = MountPool
+
+__all__ = [
+    "MountKey",
+    "MountScheduler",
+    "SchedulerPolicy",
+    "SchedulerStats",
+    "SharedPoolClient",
+]

@@ -19,10 +19,10 @@ A query's life in the service:
    synchronously, on the submitting thread.
 2. **Stage 1** — the query's own executor runs the metadata stage and
    reaches the stage-1/stage-2 breakpoint with its files of interest.
-3. **Scheduling** — instead of a private :class:`~repro.core.mountpool.MountPool`,
-   the executor's ``pool_factory`` hands stage 2 a
-   :class:`~repro.serve.scheduler.SharedPoolClient`: the query's mount
-   branches are registered with the shared scheduler (hull-merged with
+3. **Scheduling** — instead of a private one-client scheduler, the
+   executor's :class:`~repro.core.mountpool.MountPool` is a client of the
+   service's shared :class:`~repro.core.mountpool.MountScheduler`: the
+   query's mount branches are registered with it (hull-merged with
    every other waiting query touching the same files) and the query parks
    until its files complete — each extraction feeding *every* waiter.
 4. **Charging** — the query's governor is charged at consume time for the
@@ -231,7 +231,7 @@ class QueryService:
         self.max_concurrent_queries = max_concurrent_queries
         # The shared extraction path: a MountService with NO governor and NO
         # breaker. Scheduled extractions are charged to each consuming
-        # query's governor by its SharedPoolClient (once per file it uses),
+        # query's governor by its scheduler client (once per file it uses),
         # and failures are judged by each waiter's own tenant breaker — the
         # shared service only extracts, retries transients, and counts
         # service-wide bytes.
@@ -421,10 +421,10 @@ class QueryService:
 
         The executor is per-execution throwaway state; everything expensive
         or shared — database, cache, record maps, scheduler — is plugged in
-        from the service. The ``pool_factory`` closure reads the executor's
-        governor at stage-2 time (it is armed by then), so consumed shared
-        results charge this query's budget exactly as standalone extraction
-        would.
+        from the service. The executor makes each execution's mount pool a
+        client of the shared scheduler bound to that execution's governor,
+        so consumed shared results charge this query's budget exactly as
+        standalone extraction would.
         """
         executor = TwoStageExecutor(
             self.db,
@@ -445,9 +445,7 @@ class QueryService:
                 state.records_charged += records_decoded
 
         executor.charge_hook = charge
-        executor.pool_factory = lambda token: self.scheduler.client(
-            token=token, governor=executor._governor
-        )
+        executor.scheduler = self.scheduler
         return executor
 
     # -- predictive prefetch ---------------------------------------------------

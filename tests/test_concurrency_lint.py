@@ -455,8 +455,7 @@ def test_direct_blocking_under_lock(tmp_path):
 
 
 def test_blocking_reachable_through_call_graph(tmp_path):
-    """The capability that supersedes the lexical blocking-call-in-lock
-    rule: the sleep is one call away from the critical section."""
+    """The sleep is one call away from the critical section."""
     violations = _analyze_source(
         tmp_path,
         """
@@ -498,6 +497,29 @@ def test_blocking_outside_lock_is_clean(tmp_path):
 
             def pause(self):
                 time.sleep(0.1)
+        """,
+    )
+    assert violations == []
+
+
+def test_blocking_in_nested_function_not_flagged(tmp_path):
+    """A function defined under the lock runs later, when the lock is not
+    (necessarily) held: its body is not a critical section."""
+    violations = _analyze_source(
+        tmp_path,
+        """
+        import threading
+        import time
+
+        class Sleepy:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def nap(self):
+                with self._lock:
+                    def backoff():
+                        time.sleep(0.1)
+                    self._callback = backoff  # unguarded-ok: test fixture
         """,
     )
     assert violations == []

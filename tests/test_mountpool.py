@@ -1,21 +1,30 @@
-"""Unit tests for the stage-2 mount pool (core/mountpool.py).
+"""Unit tests for the stage-2 mount engine (core/mountpool.py).
 
-These test the pool against a synthetic extract function — ordering,
-single-flight, backpressure, work stealing, error propagation — without
-standing up a repository. End-to-end equivalence under ``mount_workers=4``
+These test the pool — one query's client of a private scheduler — against
+a synthetic extract function: ordering, single-flight, backpressure, work
+stealing, error propagation, cancellation and endpoint round-robin —
+without standing up a repository. End-to-end equivalence under ``mount_workers=4``
 lives in test_equivalence_property.py; failure injection through a real
 executor lives in test_failure_injection.py.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core.governor import CancellationToken
 from repro.core.mounting import ExtractResult
-from repro.core.mountpool import MountPool, MountPoolTimings, MountTaskTiming
+from repro.core.mountpool import (
+    MountPool,
+    MountPoolTimings,
+    MountScheduler,
+    MountTaskTiming,
+    SchedulerPolicy,
+)
 from repro.db import Column, ColumnBatch, DataType
-from repro.db.errors import IngestError
+from repro.db.errors import IngestError, QueryCancelledError
 
 
 def tagged_batch(uri):
@@ -78,7 +87,7 @@ def test_serial_fallback_stays_on_consumer_thread():
     extract = RecordingExtract()
     with MountPool(extract, max_workers=1) as pool:
         pool.prefetch(tasks)
-        assert pool._executor is None  # no threads were started
+        assert not pool._scheduler._threads  # no threads were started
         for table_name, uri in tasks:
             pool.take(uri, table_name)
     me = threading.get_ident()
@@ -236,6 +245,90 @@ def test_skip_mode_serial_fallback():
             except IngestError:
                 outcomes.append("fail")
     assert outcomes == ["ok", "ok", "fail", "ok", "ok", "ok"]
+
+
+def test_stress_single_flight_and_bound_with_fast_thread_switching():
+    """More workers than cores, duplicate keys and a tight in-flight bound,
+    with the interpreter switching threads every few microseconds: every
+    file is extracted exactly once, every take gets its own file, at most
+    the bound (plus the consumer's own steal) extracts at once, and no task
+    outlives the pool."""
+    plan = keys(120)
+    plan += plan[::3]  # a self-join: every third file is taken twice
+    running = [0, 0]  # current, high-water
+    lock = threading.Lock()
+    calls = []
+
+    def extract(uri, table_name, request=None):
+        with lock:
+            calls.append(uri)
+            running[0] += 1
+            running[1] = max(running[1], running[0])
+        try:
+            return tagged_result(uri)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MountPool(extract, max_workers=8, max_inflight=4) as pool:
+            pool.prefetch(plan)
+            for table_name, uri in plan:
+                batch = pool.take(uri, table_name).batch
+                assert batch.column("tag").values[0] == hash(uri) % 10**9
+    finally:
+        sys.setswitchinterval(previous)
+    assert sorted(calls) == sorted(uri for _, uri in keys(120))
+    assert running[1] <= 4 + 1
+    assert pool._scheduler.pending_tasks() == 0
+    assert not pool._scheduler._tasks
+
+
+def test_federated_prefetch_is_claimed_round_robin():
+    """A federated plan lists each endpoint's files contiguously; they are
+    claimed alternately across endpoints so no source idles, while takes
+    still drain in plan order with every answer unchanged."""
+    plan = [
+        ("D", f"remote://{endpoint}/file-{i}.xseed")
+        for endpoint in ("seis-eu", "seis-us")
+        for i in range(3)
+    ]
+    scheduler = MountScheduler(
+        lambda uri, table, request=None: tagged_result(uri),
+        policy=SchedulerPolicy(batch_window_seconds=0.0),
+        workers=0,
+    )
+    tasks = scheduler.register(1, plan)
+    claimed = []
+    while (key := scheduler.peek_next()) is not None:
+        claimed.append(key)
+        scheduler.take(1, tasks[key])
+    assert claimed == [plan[0], plan[3], plan[1], plan[4], plan[2], plan[5]]
+
+    extract = RecordingExtract()
+    with MountPool(extract, max_workers=2) as pool:
+        pool.prefetch(plan)
+        for table_name, uri in plan:
+            batch = pool.take(uri, table_name).batch
+            assert batch.column("tag").values[0] == hash(uri) % 10**9
+    assert sorted(extract.calls) == sorted(uri for _, uri in plan)
+
+
+def test_cancelled_token_interrupts_takes_without_extracting():
+    """A fired token withdraws every outstanding mount: a later take raises
+    the typed interruption instead of stealing and extracting the file."""
+    token = CancellationToken()
+    extract = RecordingExtract()
+    tasks = keys(3)
+    with MountPool(extract, max_workers=1, token=token) as pool:
+        pool.prefetch(tasks)
+        token.cancel()
+        for table_name, uri in tasks:
+            with pytest.raises(QueryCancelledError):
+                pool.take(uri, table_name)
+    assert extract.calls == []
 
 
 def test_invalid_configuration_rejected():

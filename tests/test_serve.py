@@ -337,6 +337,22 @@ class TestServiceEquivalence:
         assert value == standalone.quick_look("ISK", "BHE", SPEC.start_day)
 
 
+class TestServiceTimings:
+    def test_mount_timings_name_the_extracting_worker(self, repo, metadata_db):
+        """Regression: a service query's timings attributed every file to
+        worker 0, so ``mount_speedup`` read 1.0 whatever ``mount_workers``
+        was. Each file now names the thread that actually extracted it."""
+        sql = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri"
+        with _service(repo, db=metadata_db, mount_workers=2) as service:
+            outcome = service.execute(sql)
+        timings = outcome.timings
+        assert timings.mount_files == len(repo.uris())
+        assert len(timings.mount_worker_seconds) >= 2
+        assert timings.mount_speedup > 1.0
+        standalone = TwoStageExecutor(_fresh_db(repo), RepositoryBinding(repo))
+        assert outcome.rows == standalone.execute(sql).rows
+
+
 def _fresh_db(repo):
     db = Database()
     lazy_ingest_metadata(db, repo)

@@ -35,8 +35,7 @@ checks four properties of the resulting lock web:
     No call that can block unboundedly (sleeps, subprocesses, file IO via
     ``open``/``open_volume``, ``Future.result``, ``Thread.join``,
     executor shutdown, event/semaphore/token waits) may be *reachable
-    through the call graph* while a lock is held — this supersedes the
-    lexical-only ``blocking-call-in-lock`` rule. Waiting on a condition
+    through the call graph* while a lock is held. Waiting on a condition
     variable built over the held lock is the designed release-and-park
     pattern and is exempt; a genuinely intended wait can carry
     ``# lint: allow-blocking-under-lock``.
